@@ -46,7 +46,7 @@ def main() -> int:
 
     # The headline path: shards scanned by pool workers over shared memory.
     with QueryEngine(index, workers=2, num_shards=4, parallel="force") as engine:
-        ranked = index.search(queries, k=10, engine=engine)
+        ranked = engine.search(queries, k=10)
         assert engine.last_dispatch == "process-pool", engine.last_dispatch
         assert np.array_equal(ranked, reference), "pool rankings diverge from serial"
         # Pool stays warm across batches; edge k values go through it too.

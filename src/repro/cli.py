@@ -397,7 +397,6 @@ def _engine_report(model, index, dataset, workers: int, shards: int | None) -> s
 
     import numpy as np
 
-    from repro.retrieval import SearchRequest
     from repro.retrieval.engine import QueryEngine
 
     queries = model.embed(dataset.query.features)
@@ -406,9 +405,8 @@ def _engine_report(model, index, dataset, workers: int, shards: int | None) -> s
     serial_elapsed = time.perf_counter() - serial_start
     with QueryEngine(index, workers=workers, num_shards=shards) as engine:
         engine.search(queries[:1], k=10)  # warm the kernel path
-        request = SearchRequest(queries=queries, k=10, engine=engine)
         engine_start = time.perf_counter()
-        ranked = index.search(request).indices
+        ranked = engine.search(queries, k=10)
         engine_elapsed = time.perf_counter() - engine_start
         dispatch = engine.last_dispatch
         num_shards = engine.sharded.num_shards

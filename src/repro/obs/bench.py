@@ -205,17 +205,15 @@ def _bench_engine(index, queries, serial_topk, scan_hist, serial_scan_tput,
     """Time the sharded engine on the batch query and compare to serial."""
     import numpy as np
 
-    from repro.retrieval import SearchRequest
     from repro.retrieval.engine import QueryEngine
 
     with handle.span("bench.query.engine", workers=workers, shards=shards or 0):
         with QueryEngine(index, workers=workers, num_shards=shards) as engine:
             engine.search(queries[:1], k=10)  # warm the path (and any pool)
-            request = SearchRequest(queries=queries, k=10, engine=engine)
             window = _hist_window(scan_hist)
             start = time.perf_counter()
             for _ in range(_ENGINE_REPEATS):
-                engine_topk = index.search(request).indices
+                engine_topk = engine.search(queries, k=10)
             wall = (time.perf_counter() - start) / _ENGINE_REPEATS
             engine_tput = _window_mean(scan_hist, window)
             entry = {
@@ -696,7 +694,7 @@ def bench_ivf_profile(
                             queries=queries, k=10, nprobe=nprobe
                         )
                         start = time.perf_counter()
-                        topk = ivf.search(request).indices
+                        topk = ivf.serve(request).indices
                         wall = time.perf_counter() - start
                     overlap = [
                         len(set(approx) & set(exact)) / len(exact)

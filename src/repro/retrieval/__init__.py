@@ -20,7 +20,6 @@ from repro.retrieval.engine import (
     QueryEngine,
     ShardedIndex,
     compact_code_dtype,
-    merge_topk,
     shard_bounds,
     topk_tie_stable,
 )
@@ -42,9 +41,12 @@ from repro.retrieval.metrics import (
 from repro.retrieval.search import (
     SearchRequest,
     SearchResult,
+    SearchSurface,
     exhaustive_search,
     hamming_distances,
+    merge_by_distance,
     rank_by_distance,
+    rescore_exact,
     squared_distances,
 )
 
@@ -58,12 +60,12 @@ __all__ = [
     "QueryEngine",
     "SearchRequest",
     "SearchResult",
+    "SearchSurface",
     "Segment",
     "ShardedIndex",
     "StorageCost",
     "compact_code_dtype",
     "default_num_cells",
-    "merge_topk",
     "quantize_lut",
     "shard_bounds",
     "topk_tie_stable",
@@ -77,11 +79,13 @@ __all__ = [
     "hamming_distances",
     "mean_average_precision",
     "measure_search_times",
+    "merge_by_distance",
     "per_class_average_precision",
     "precision_at_k",
     "rank_by_distance",
     "recall_at_k",
     "reconstruct",
+    "rescore_exact",
     "squared_distances",
     "storage_cost",
     "theoretical_speedup",

@@ -54,17 +54,17 @@ from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import DEFAULT_CAPACITY as LUT_CACHE_CAPACITY
 from repro.retrieval.lut_cache import LUTCache
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
+    SearchSurface,
+    check_queries,
+    merge_by_distance,
+    rescore_exact,
     topk_tie_stable,
-    warn_legacy_search_kwargs,
 )
 
 __all__ = [
     "QueryEngine",
     "ShardedIndex",
     "compact_code_dtype",
-    "merge_topk",
     "shard_bounds",
     "topk_tie_stable",
 ]
@@ -106,27 +106,6 @@ def shard_bounds(n_items: int, num_shards: int) -> list[tuple[int, int]]:
     num_shards = min(num_shards, n_items)
     edges = np.linspace(0, n_items, num_shards + 1).astype(np.int64)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(num_shards)]
-
-
-
-
-def merge_topk(
-    shard_distances: list[np.ndarray],
-    shard_indices: list[np.ndarray],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce per-shard candidates to the global tie-stable top-k.
-
-    Shard results carry *global* row ids, so ties across shards resolve by
-    global index exactly as a stable sort of the unsharded distance matrix
-    would. Returns ``(indices, values)``.
-    """
-    dists = np.concatenate(shard_distances, axis=1)
-    idxs = np.concatenate(shard_indices, axis=1)
-    k = max(0, min(k, dists.shape[1]))
-    order = np.lexsort((idxs, dists), axis=-1)[:, :k]
-    rows = np.arange(dists.shape[0])[:, None]
-    return idxs[rows, order], dists[rows, order]
 
 
 def _scan_block(lut, codes_t, lo, hi, block_rows):
@@ -242,7 +221,7 @@ class ShardedIndex:
         )
 
 
-class QueryEngine:
+class QueryEngine(SearchSurface):
     """Serve ADC top-k queries over a sharded index, optionally in parallel.
 
     Parameters
@@ -414,9 +393,6 @@ class QueryEngine:
         cores = os.cpu_count() or 1
         return max(1, min(self.workers, cores, self.num_shards))
 
-    def matches(self, index: QuantizedIndex) -> bool:
-        return self.sharded.matches(index)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -492,22 +468,19 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
+    @property
+    def serve_source(self) -> str:
+        return self.last_dispatch or "in-process"
+
+    def search_with_distances(
         self,
-        queries: "np.ndarray | SearchRequest",
+        queries: np.ndarray,
         k: int | None = None,
         *,
         rerank: bool | None = None,
         nprobe: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices per query, shaped like the serial path.
-
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult`; the legacy array
-        form returns bare indices, with its ``rerank=``/``nprobe=`` kwargs
-        deprecated in favour of request hints (they still work, emitting
-        ``DeprecationWarning``).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ids and squared distances per query, like the serial path.
 
         ``k=None`` returns the full ranking; otherwise ``(n_q, min(k,
         n_db))``. Rankings are tie-stable on (distance, index) — the order
@@ -519,56 +492,6 @@ class QueryEngine:
         ``nprobe=0`` bypasses the layer and serves the exact exhaustive
         scan. Without an IVF layer any ``nprobe`` raises ``ValueError``.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or rerank is not None or nprobe is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "QueryEngine.search", rerank=rerank, nprobe=nprobe
-        )
-        indices, _ = self.search_with_distances(
-            queries, k=k, rerank=rerank, nprobe=nprobe
-        )
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` through this engine."""
-        if request.engine is not None and request.engine is not self:
-            raise ValueError(
-                "request carries an engine hint for a different engine"
-            )
-        if request.encoder is not None:
-            raise ValueError(
-                "the engine scans embeddings; encoder hints are served by "
-                "the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            rerank=request.rerank,
-            nprobe=request.nprobe,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source=self.last_dispatch or "in-process",
-            elapsed_s=time.perf_counter() - start,
-        )
-
-    def search_with_distances(
-        self,
-        queries: np.ndarray,
-        k: int | None = None,
-        *,
-        rerank: bool | None = None,
-        nprobe: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`search` but also returns the squared distances."""
         if self._closed:
             raise RuntimeError("engine is closed")
         if nprobe is None:
@@ -585,14 +508,8 @@ class QueryEngine:
             )
         sharded = self.sharded
         n_db = len(sharded)
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != sharded.dim):
-            raise ValueError(
-                f"queries must be (n, {sharded.dim}), got shape {queries.shape}"
-            )
+        queries = check_queries(queries, sharded.dim, k)
         n_q = len(queries)
-        if k is not None and k < 0:
-            raise ValueError("k must be non-negative")
         k_eff = n_db if k is None else min(k, n_db)
         if n_q == 0 or n_db == 0 or k_eff == 0:
             return (np.empty((n_q, k_eff), dtype=np.int64),
@@ -661,12 +578,19 @@ class QueryEngine:
         scan_elapsed = time.perf_counter() - scan_start if obs.enabled else 0.0
 
         merge_start = time.perf_counter() if obs.enabled else 0.0
-        indices, values = merge_topk(
-            [r[0] for r in results], [r[1] for r in results], shard_k
+        indices, values = merge_by_distance(
+            np.concatenate([r[0] for r in results], axis=1),
+            np.concatenate([r[1] for r in results], axis=1),
+            shard_k,
         )
         if use_rerank:
-            indices, values = self._rerank_exact(
-                lut64, q_sq64, indices, k_eff
+            # Engine columns are global ids, so candidates index the codes
+            # directly; the float64 re-scores restore the serial ranking.
+            indices, values = merge_by_distance(
+                rescore_exact(lut64, q_sq64, sharded.codes_t, sharded.norms64,
+                              indices),
+                indices,
+                k_eff,
             )
         else:
             indices, values = indices[:, :k_eff], values[:, :k_eff].astype(np.float64)
@@ -703,20 +627,3 @@ class QueryEngine:
             if fell_back:
                 registry.counter(metric_names.ENGINE_POOL_FALLBACKS).inc()
         return indices, values
-
-    def _rerank_exact(self, lut64, q_sq64, candidates, k):
-        """Re-score candidate ids in float64 and take the tie-stable top-k.
-
-        Cost is ``O(n_q · |candidates| · M)`` — negligible next to the scan —
-        and restores the serial float64 ranking among the candidates.
-        """
-        sharded = self.sharded
-        rows = np.arange(len(candidates))[:, None]
-        cross = lut64[rows, 0, sharded.codes_t[0][candidates]]
-        for j in range(1, sharded.num_codebooks):
-            cross = cross + lut64[rows, j, sharded.codes_t[j][candidates]]
-        d = q_sq64[:, None] + sharded.norms64[candidates] - 2.0 * cross
-        np.maximum(d, 0.0, out=d)
-        # Tie-stable over *global* ids: order candidates by (distance, id).
-        order = np.lexsort((candidates, d), axis=-1)[:, :k]
-        return candidates[rows, order], d[rows, order]

@@ -6,7 +6,7 @@ index a database once and serve ranked retrieval with ADC lookups.
 
 Both halves of the serving story are observable (:mod:`repro.obs`):
 :meth:`QuantizedIndex.build` emits encode and total build times inside an
-``index.build`` span, and :meth:`QuantizedIndex.search` emits a per-query
+``index.build`` span, and every search of the serial path emits a per-query
 latency histogram (``query.latency_s``) plus served-query counters — the
 numbers ``repro bench`` reports and ``docs/metrics.md`` catalogues.
 """
@@ -21,17 +21,17 @@ import numpy as np
 from repro.obs import get_obs
 from repro.obs import names as metric_names
 from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct, validate_codes
-from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
-    rank_by_distance,
-    warn_legacy_search_kwargs,
-)
+from repro.retrieval.search import SearchSurface, check_queries, rank_by_distance
 
 
 @dataclass
-class QuantizedIndex:
+class QuantizedIndex(SearchSurface):
     """An immutable database of additive-quantization codes.
+
+    Searching it runs the serial float64 ADC scan — the reference every
+    faster surface (:class:`~repro.retrieval.engine.QueryEngine`,
+    :class:`~repro.retrieval.ivf.IVFIndex`) is parity-tested against;
+    ``search``/``serve`` come from :class:`SearchSurface`.
 
     Attributes
     ----------
@@ -135,118 +135,54 @@ class QuantizedIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
+    serve_source = "serial-adc"
+
+    def search_with_distances(
         self,
-        queries: "np.ndarray | SearchRequest",
+        queries: np.ndarray,
         k: int | None = None,
-        engine: "object | None" = None,
+        *,
         nprobe: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices for each query via ADC lookups.
+        rerank: bool | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ids and squared distances per query via ADC lookups.
 
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult` (indices *and*
-        distances). The legacy form — a raw query array plus ``k`` —
-        still returns a bare index array; its ``engine=``/``nprobe=``
-        kwargs keep working through a shim that emits
-        ``DeprecationWarning`` (use ``SearchRequest`` hints instead).
-
-        A request's ``engine`` hint delegates the scan to a
-        :class:`repro.retrieval.engine.QueryEngine` built over this index —
-        the sharded (optionally multi-worker) fast path — or to an
-        :class:`repro.retrieval.ivf.IVFIndex` (the pruned approximate
-        path), while keeping this method's metrics contract. The engine
-        must have been built from an index with this one's geometry.
-        ``nprobe`` requires an engine with an IVF layer; without one it
-        raises ``ValueError`` — never a silent exhaustive fallback.
+        ``k=None`` returns the full ranking. The scan is already float64,
+        so ``rerank`` has nothing to correct and is ignored; ``nprobe``
+        needs an IVF layer and raises ``ValueError`` here — never a silent
+        exhaustive fallback.
 
         With observability enabled the call records per-query latency into
         ``query.latency_s`` — the batch's wall time spread evenly over its
         queries, so single-query calls (the serving pattern the benchmark
         harness times) yield exact per-query percentiles.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or engine is not None or nprobe is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "QuantizedIndex.search", engine=engine, nprobe=nprobe
-        )
-        request = SearchRequest(queries, k=k, nprobe=nprobe, engine=engine)
-        return self.serve(request).indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` (the core of :meth:`search`)."""
-        if request.encoder is not None:
+        if nprobe is not None:
             raise ValueError(
-                "QuantizedIndex scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
+                "nprobe requires an engine with an IVF layer attached (serve "
+                "through a QueryEngine built with ivf=..., or an IVFIndex)"
             )
+        queries = check_queries(queries, self.dim, k)
         obs = get_obs()
         start = time.perf_counter()
-        queries = request.queries
-        engine = request.engine
-        if engine is not None:
-            if not engine.matches(self):
-                raise ValueError(
-                    "engine was built over an index with different geometry "
-                    "than this one"
-                )
-            hints: dict = {}
-            if request.nprobe is not None:
-                hints["nprobe"] = request.nprobe
-            if request.rerank is not None:
-                hints["rerank"] = request.rerank
-            indices, distances = engine.search_with_distances(
-                queries, k=request.k, **hints
-            )
-            source = getattr(engine, "last_dispatch", None) or "engine"
-        elif request.nprobe is not None:
-            raise ValueError(
-                "nprobe requires an engine with an IVF layer attached "
-                "(pass a QueryEngine built with ivf=..., or an IVFIndex, "
-                "as the request's engine hint)"
-            )
-        else:
-            distance_matrix = adc_distances(
-                queries, self.codes, self.codebooks, db_sq_norms=self.db_sq_norms
-            )
-            indices = rank_by_distance(distance_matrix, k=request.k)
-            rows = np.arange(len(indices))[:, None]
-            distances = distance_matrix[rows, indices]
-            source = "serial-adc"
-        elapsed = time.perf_counter() - start
+        distance_matrix = adc_distances(
+            queries, self.codes, self.codebooks, db_sq_norms=self.db_sq_norms
+        )
+        indices = rank_by_distance(distance_matrix, k=k)
+        distances = distance_matrix[np.arange(len(indices))[:, None], indices]
         if obs.enabled:
-            n_queries = request.n_queries
+            n_queries = len(queries)
             registry = obs.registry
             registry.counter(metric_names.QUERY_BATCHES_TOTAL).inc()
             if n_queries:
                 registry.counter(metric_names.QUERY_ITEMS_TOTAL).inc(n_queries)
                 registry.histogram(metric_names.QUERY_LATENCY).observe_many(
-                    elapsed / n_queries, n_queries
+                    (time.perf_counter() - start) / n_queries, n_queries
                 )
-        return SearchResult(
-            indices=indices,
-            distances=np.asarray(distances, dtype=np.float64),
-            k=request.k,
-            source=source,
-            elapsed_s=elapsed,
-        )
+        return indices, distances
 
-    def search_labels(
-        self,
-        queries: "np.ndarray | SearchRequest",
-        k: int | None = None,
-        engine: "object | None" = None,
-        nprobe: int | None = None,
-    ) -> np.ndarray:
+    def search_labels(self, queries: np.ndarray, k: int | None = None) -> np.ndarray:
         """Ranked database *labels*, ready for MAP evaluation."""
         if self.labels is None:
             raise RuntimeError("index was built without labels")
-        if isinstance(queries, SearchRequest):
-            return self.labels[self.serve(queries).indices]
-        return self.labels[self.search(queries, k=k, engine=engine, nprobe=nprobe)]
+        return self.labels[self.search(queries, k=k)]

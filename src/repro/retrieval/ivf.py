@@ -55,9 +55,10 @@ from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.lut_cache import DEFAULT_CAPACITY as LUT_CACHE_CAPACITY
 from repro.retrieval.lut_cache import LUTCache
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
-    warn_legacy_search_kwargs,
+    SearchSurface,
+    check_queries,
+    merge_by_distance,
+    rescore_exact,
 )
 
 __all__ = [
@@ -104,7 +105,7 @@ def quantize_lut(lut32: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return q8, offsets, scale
 
 
-class IVFIndex:
+class IVFIndex(SearchSurface):
     """An inverted-file coarse layer over a :class:`QuantizedIndex`.
 
     Build with :meth:`IVFIndex.build` (trains the coarse quantizer); the
@@ -317,21 +318,17 @@ class IVFIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
+    serve_source = "ivf"
+
+    def search_with_distances(
         self,
-        queries: "np.ndarray | SearchRequest",
+        queries: np.ndarray,
         k: int | None = None,
         *,
         nprobe: int | None = None,
         rerank: bool | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Ranked database indices per query over the probed cells.
-
-        The canonical form takes a
-        :class:`~repro.retrieval.search.SearchRequest` and returns a
-        :class:`~repro.retrieval.search.SearchResult`; the legacy array
-        form returns bare indices, its ``nprobe=``/``rerank=`` kwargs kept
-        as deprecated shims (``DeprecationWarning``).
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ranked ids and squared distances per query over the probed cells.
 
         Shapes and tie-breaking match the exhaustive paths — ``(n_q,
         min(k, n_db))``, ordered by (distance, global index) — but only
@@ -342,64 +339,12 @@ class IVFIndex:
         contract always holds. ``k=None`` (the exhaustive paths' full
         ranking) is not served by a pruned index; pass an explicit ``k``.
         """
-        if isinstance(queries, SearchRequest):
-            if k is not None or nprobe is not None or rerank is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        warn_legacy_search_kwargs(
-            "IVFIndex.search", nprobe=nprobe, rerank=rerank
-        )
-        indices, _ = self.search_with_distances(
-            queries, k=k, nprobe=nprobe, rerank=rerank
-        )
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        """Serve one :class:`SearchRequest` through the pruned path."""
-        if request.engine is not None and request.engine is not self:
-            raise ValueError(
-                "request carries an engine hint for a different engine"
-            )
-        if request.encoder is not None:
-            raise ValueError(
-                "the IVF layer scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            nprobe=request.nprobe,
-            rerank=request.rerank,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source="ivf",
-            elapsed_s=time.perf_counter() - start,
-        )
-
-    def search_with_distances(
-        self,
-        queries: np.ndarray,
-        k: int | None = None,
-        *,
-        nprobe: int | None = None,
-        rerank: bool | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`search` but also returns the squared distances."""
         if k is None:
             raise ValueError(
                 "IVF search prunes the database and cannot produce the "
                 "full ranking; pass an explicit k (or use the exhaustive "
                 "QueryEngine path)"
             )
-        if k < 0:
-            raise ValueError("k must be non-negative")
         nprobe = self.nprobe if nprobe is None else int(nprobe)
         if nprobe < 1:
             raise ValueError("nprobe must be at least 1")
@@ -407,11 +352,7 @@ class IVFIndex:
         use_rerank = self.rerank if rerank is None else bool(rerank)
 
         n_db = len(self)
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != self.dim):
-            raise ValueError(
-                f"queries must be (n, {self.dim}), got shape {queries.shape}"
-            )
+        queries = check_queries(queries, self.dim, k)
         n_q = len(queries)
         k_eff = min(k, n_db)
         if n_q == 0 or n_db == 0 or k_eff == 0:
@@ -477,7 +418,6 @@ class IVFIndex:
             np.maximum(d, 0.0, out=d)
 
             take = min(shard_k, len(cand))
-            global_ids = self.ids[cand]
             if take < len(cand):
                 if self.lut_dtype == "uint8" and use_rerank:
                     # Quantization shifts each distance by at most M·scale/2
@@ -490,22 +430,19 @@ class IVFIndex:
                     kth = np.partition(d, k_eff - 1)[k_eff - 1]
                     margin = 2.0 * self.num_codebooks * scale
                     keep = np.flatnonzero(d <= kth + margin)
-                    sel_ids, sel_d = global_ids[keep], d[keep]
                 else:
-                    part = np.argpartition(d, take - 1)[:take]
-                    sel_ids, sel_d = global_ids[part], d[part]
-            else:
-                sel_ids, sel_d = global_ids, d
+                    keep = np.argpartition(d, take - 1)[:take]
+                cand, d = cand[keep], d[keep]
             if use_rerank:
-                sel_ids, sel_d = self._rerank_exact(
-                    lut64[qi], float(q_sq64[qi]), sel_ids, k_eff
-                )
-            else:
-                order = np.lexsort((sel_ids, sel_d))[:k_eff]
-                sel_ids = sel_ids[order]
-                sel_d = sel_d[order].astype(np.float64)
-            out_indices[qi] = sel_ids
-            out_values[qi] = sel_d
+                d = rescore_exact(
+                    lut64[qi : qi + 1], q_sq64[qi : qi + 1], self.codes_t,
+                    self.norms64, cand[None, :],
+                )[0]
+            sel_ids, sel_d = merge_by_distance(
+                d[None, :], self.ids[cand][None, :], k_eff
+            )
+            out_indices[qi] = sel_ids[0]
+            out_values[qi] = sel_d[0]
 
         if obs.enabled:
             registry = obs.registry
@@ -535,31 +472,6 @@ class IVFIndex:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
-
-    def _rerank_exact(
-        self, lut64: np.ndarray, q_sq: float, candidate_ids: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-score candidate *global* ids in float64; tie-stable top-k.
-
-        Uses the permuted layout via the inverse position of each id —
-        candidates arrive as global rows, so gather their columns back.
-        """
-        positions = self._positions_of(candidate_ids)
-        cross = lut64[0, self.codes_t[0, positions]].copy()
-        for j in range(1, self.num_codebooks):
-            cross += lut64[j, self.codes_t[j, positions]]
-        d = q_sq + self.norms64[positions] - 2.0 * cross
-        np.maximum(d, 0.0, out=d)
-        order = np.lexsort((candidate_ids, d))[:k]
-        return candidate_ids[order], d[order]
-
-    def _positions_of(self, global_ids: np.ndarray) -> np.ndarray:
-        """Permuted column positions of global database rows."""
-        if not hasattr(self, "_inverse"):
-            inverse = np.empty(len(self), dtype=np.int64)
-            inverse[self.ids] = np.arange(len(self))
-            self._inverse = inverse
-        return self._inverse[global_ids]
 
 
 def _reconstruct_rows(index: QuantizedIndex, rows: np.ndarray) -> np.ndarray:

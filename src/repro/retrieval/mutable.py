@@ -25,9 +25,9 @@ LSM-style decomposition:
 rebuild over the live rows (parity-tested in
 ``tests/retrieval/test_mutable.py``): ADC distances are per-row
 independent, segment rows are id-sorted so the tie-stable per-segment
-top-k's column order is id order, and the cross-segment merge is a
-``lexsort`` on ``(distance, external id)`` — the exact order the rebuilt
-index's stable ranking produces. Tombstones cannot perturb live rows: a
+top-k's column order is id order, and the cross-segment merge is the
+shared tie-stable ``(distance, external id)`` merge — the exact order the
+rebuilt index's stable ranking produces. Tombstones cannot perturb live rows: a
 dead row's norm is ``+inf``, which only ever loses comparisons.
 
 **Drift.** Each add batch's mean quantization error is compared against a
@@ -55,8 +55,9 @@ from repro.obs import names as metric_names
 from repro.retrieval.adc import adc_distances, encode_nearest, reconstruct
 from repro.retrieval.index import QuantizedIndex
 from repro.retrieval.search import (
-    SearchRequest,
-    SearchResult,
+    SearchSurface,
+    check_queries,
+    merge_by_distance,
     topk_tie_stable,
 )
 
@@ -238,7 +239,7 @@ class _Generation:
         return sum(segment.n_dead for segment in self.segments)
 
 
-class MutableIndex:
+class MutableIndex(SearchSurface):
     """A quantized index that accepts online ``add``/``remove``/``compact``.
 
     Parameters
@@ -607,52 +608,7 @@ class MutableIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
-        self,
-        queries: "np.ndarray | SearchRequest",
-        k: int | None = None,
-    ) -> "np.ndarray | SearchResult":
-        """Tie-stable top-k over live rows, as external ids.
-
-        Takes a :class:`SearchRequest` (returning a full
-        :class:`SearchResult`) or a raw query array with ``k`` (returning
-        bare ids) — the same convention as every other search surface.
-        """
-        if isinstance(queries, SearchRequest):
-            if k is not None:
-                raise TypeError(
-                    "pass search parameters inside the SearchRequest, not "
-                    "alongside it"
-                )
-            return self.serve(queries)
-        indices, _ = self.search_with_distances(queries, k=k)
-        return indices
-
-    def serve(self, request: SearchRequest) -> SearchResult:
-        if request.engine is not None:
-            raise ValueError(
-                "MutableIndex owns its engine; requests cannot carry an "
-                "engine hint"
-            )
-        if request.encoder is not None:
-            raise ValueError(
-                "MutableIndex scans embeddings; encoder hints are served "
-                "by the serving daemon (repro.serving)"
-            )
-        start = time.perf_counter()
-        indices, distances = self.search_with_distances(
-            request.queries,
-            k=request.k,
-            rerank=request.rerank,
-            nprobe=request.nprobe,
-        )
-        return SearchResult(
-            indices=indices,
-            distances=distances,
-            k=request.k,
-            source="mutable",
-            elapsed_s=time.perf_counter() - start,
-        )
+    serve_source = "mutable"
 
     def search_with_distances(
         self,
@@ -671,11 +627,7 @@ class MutableIndex:
         never appear.
         """
         gen = self._gen
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or (queries.size and queries.shape[1] != self.dim):
-            raise ValueError(
-                f"queries must be (n, {self.dim}), got shape {queries.shape}"
-            )
+        queries = check_queries(queries, self.dim, k)
         engine = self._engine
         engine_base = self._engine_base
         if nprobe is not None and getattr(engine, "ivf", None) is None:
@@ -700,13 +652,8 @@ class MutableIndex:
                 # base's dead count: among the top (k_eff + n_dead) rows at
                 # least k_eff are live (or every live base row is included).
                 base_k = min(len(segment), k_eff + segment.n_dead)
-                hints: dict = {}
-                if nprobe is not None:
-                    hints["nprobe"] = nprobe
-                if rerank is not None:
-                    hints["rerank"] = rerank
                 rows, dists = engine.search_with_distances(
-                    queries, k=base_k, **hints
+                    queries, k=base_k, nprobe=nprobe, rerank=rerank
                 )
                 dists = np.where(segment.dead[rows], np.inf, dists)
                 id_blocks.append(segment.ids[rows])
@@ -722,13 +669,10 @@ class MutableIndex:
             id_blocks.append(segment.ids[local])
             dist_blocks.append(values)
 
-        all_ids = np.concatenate(id_blocks, axis=1)
-        all_dists = np.concatenate(dist_blocks, axis=1)
-        order = np.lexsort((all_ids, all_dists), axis=-1)[:, :k_eff]
-        rows = np.arange(n_q)[:, None]
-        return (
-            all_ids[rows, order],
-            np.asarray(all_dists[rows, order], dtype=np.float64),
+        return merge_by_distance(
+            np.concatenate(dist_blocks, axis=1),
+            np.concatenate(id_blocks, axis=1),
+            k_eff,
         )
 
     # ------------------------------------------------------------------

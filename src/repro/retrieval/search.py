@@ -1,6 +1,6 @@
-"""Search primitives and the unified search request/result types.
+"""Search primitives and the one search contract every surface shares.
 
-Two things live here:
+Three things live here:
 
 1. Exhaustive nearest-neighbour search over continuous representations —
    the uncompressed reference point every quantizer is compared against:
@@ -9,19 +9,22 @@ Two things live here:
    (:mod:`repro.obs`), :func:`exhaustive_search` times each call
    (``search.exhaustive.time_s``) so ADC speedups can be read straight off
    a metrics export instead of re-deriving them.
-2. :class:`SearchRequest` / :class:`SearchResult` — the one request shape
-   every search surface accepts (:meth:`QuantizedIndex.search`,
-   :meth:`QueryEngine.search`, :meth:`IVFIndex.search`,
-   :meth:`MutableIndex.search`, and the serving daemon), replacing the
-   per-method kwarg sprawl (``engine=``, ``nprobe=``, ``rerank=``) those
-   methods accreted. The legacy kwargs still work through thin shims that
-   emit :class:`DeprecationWarning`.
+2. :class:`SearchRequest` / :class:`SearchResult` and the
+   :class:`SearchSurface` base: every index surface
+   (:class:`~repro.retrieval.index.QuantizedIndex`,
+   :class:`~repro.retrieval.engine.QueryEngine`,
+   :class:`~repro.retrieval.ivf.IVFIndex`,
+   :class:`~repro.retrieval.mutable.MutableIndex`) implements only
+   ``search_with_distances`` and inherits ``search(queries, k) -> ids`` and
+   ``serve(SearchRequest) -> SearchResult`` from the base.
+3. The ranking kernels those surfaces share: :func:`rescore_exact` (the
+   float64 ADC re-scoring of candidate columns) and
+   :func:`merge_by_distance` (the tie-stable ``(distance, id)`` top-k).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +37,11 @@ from repro.obs import names as metric_names
 class SearchRequest:
     """One search call, as data: the canonical way to ask for neighbours.
 
-    Every search surface accepts a ``SearchRequest`` as its first argument
-    and then returns a :class:`SearchResult`. Hints a given surface cannot
-    honour are errors, not silent no-ops: ``nprobe`` without an IVF layer
-    raises ``ValueError`` everywhere.
+    Every search surface's ``serve`` takes a ``SearchRequest`` and returns
+    a :class:`SearchResult`. Hints a given surface cannot honour are
+    errors, not silent no-ops: ``nprobe`` without an IVF layer raises
+    ``ValueError`` everywhere. Non-finite queries are rejected here, at the
+    boundary.
 
     Attributes
     ----------
@@ -57,9 +61,6 @@ class SearchRequest:
         End-to-end budget hint in seconds. Honoured by the serving daemon
         (it replaces the configured request timeout); synchronous in-process
         scans ignore it.
-    engine:
-        Engine hint for :meth:`QuantizedIndex.search`: a ``QueryEngine`` or
-        ``IVFIndex`` built over the same index to delegate the scan to.
     encoder:
         Query-encoder selection for surfaces that accept *raw features*
         instead of embeddings (the serving daemon): ``"full"`` runs the
@@ -75,7 +76,6 @@ class SearchRequest:
     nprobe: int | None = None
     rerank: bool | None = None
     deadline_s: float | None = None
-    engine: object | None = None
     encoder: str | None = None
 
     def __post_init__(self) -> None:
@@ -86,6 +86,8 @@ class SearchRequest:
             raise ValueError(
                 f"queries must be (n_q, d) or (d,), got shape {queries.shape}"
             )
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must be finite (NaN/inf rejected)")
         object.__setattr__(self, "queries", queries)
         if self.k is not None and self.k < 0:
             raise ValueError("k must be non-negative (or None for the full ranking)")
@@ -134,16 +136,108 @@ class SearchResult:
         return self.indices.shape[1]
 
 
-def warn_legacy_search_kwargs(method: str, **kwargs) -> None:
-    """Emit the deprecation shim warning for non-``None`` legacy kwargs."""
-    used = [name for name, value in kwargs.items() if value is not None]
-    if used:
-        warnings.warn(
-            f"{method}({', '.join(f'{name}=' for name in used)}) is "
-            "deprecated; pass a repro.retrieval.SearchRequest instead",
-            DeprecationWarning,
-            stacklevel=3,
+def check_queries(queries: np.ndarray, dim: int, k: int | None) -> np.ndarray:
+    """The boundary check every ``search_with_distances`` runs first.
+
+    Returns ``queries`` as a float64 ``(n, dim)`` batch; raises
+    ``ValueError`` on a wrong shape, a non-finite entry (a NaN query would
+    otherwise rank to arbitrary ids with NaN distances), or a negative
+    ``k``.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or (queries.size and queries.shape[1] != dim):
+        raise ValueError(f"queries must be (n, {dim}), got shape {queries.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (NaN/inf rejected)")
+    if k is not None and k < 0:
+        raise ValueError("k must be non-negative")
+    return queries
+
+
+class SearchSurface:
+    """The one search contract: ``search`` and ``serve`` over one kernel.
+
+    A surface implements ``search_with_distances(queries, k=None, *,
+    nprobe=None, rerank=None) -> (ids, distances)`` — ``(n_q, min(k,
+    n))`` arrays ranked by (distance, id) — and names the path that served
+    it in :attr:`serve_source`. Everything else is defined here once.
+    """
+
+    #: ``SearchResult.source`` for requests this surface serves.
+    serve_source = ""
+
+    def search_with_distances(self, queries, k=None, *, nprobe=None, rerank=None):
+        raise NotImplementedError
+
+    def search(self, queries: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Ranked ids per query: ``(n_q, min(k, n))``, or the full ranking
+        for ``k=None`` (surfaces that prune refuse it)."""
+        if isinstance(queries, SearchRequest):
+            raise TypeError(
+                "search() takes a query array; pass a SearchRequest to serve()"
+            )
+        return self.search_with_distances(queries, k=k)[0]
+
+    def serve(self, request: SearchRequest) -> SearchResult:
+        """Serve one :class:`SearchRequest`, honouring its ``nprobe`` and
+        ``rerank`` hints; ``encoder`` hints belong to the serving daemon."""
+        if request.encoder is not None:
+            raise ValueError(
+                f"{type(self).__name__} scans embeddings; encoder hints are "
+                "served by the serving daemon (repro.serving)"
+            )
+        start = time.perf_counter()
+        indices, distances = self.search_with_distances(
+            request.queries, k=request.k, nprobe=request.nprobe,
+            rerank=request.rerank,
         )
+        return SearchResult(
+            indices=indices,
+            distances=distances,
+            k=request.k,
+            source=self.serve_source,
+            elapsed_s=time.perf_counter() - start,
+        )
+
+
+def rescore_exact(
+    lut64: np.ndarray,
+    q_sq64: np.ndarray,
+    codes_t: np.ndarray,
+    norms64: np.ndarray,
+    columns: np.ndarray,
+) -> np.ndarray:
+    """Float64 squared ADC distances of candidate columns (Eqn. 24).
+
+    ``lut64`` is ``(n_q, M, K)``, ``q_sq64`` ``(n_q,)``, ``codes_t`` the
+    ``(M, n)`` transposed codes, ``norms64`` ``(n,)`` and ``columns`` the
+    ``(n_q, c)`` code-column positions to score. Accumulates codebooks left
+    to right like the serial scan, so the result is bit-identical to
+    :func:`repro.retrieval.adc.adc_distances` at those columns. Cost is
+    ``O(n_q · c · M)`` — negligible next to the scan it corrects.
+    """
+    rows = np.arange(len(columns))[:, None]
+    cross = lut64[rows, 0, codes_t[0][columns]]
+    for j in range(1, codes_t.shape[0]):
+        cross += lut64[rows, j, codes_t[j][columns]]
+    d = q_sq64[:, None] + norms64[columns] - 2.0 * cross
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def merge_by_distance(
+    distances: np.ndarray, ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-``k`` of ``(n, w)`` candidates, ordered by (distance, id).
+
+    The one tie-stable merge: ties resolve to the lower id, the order a
+    stable ascending sort of the unsplit distance matrix produces — so
+    candidates pooled from shards, segments or cells merge to the serial
+    ranking. Returns ``(ids, distances)`` of shape ``(n, min(k, w))``.
+    """
+    order = np.lexsort((ids, distances), axis=-1)[:, :k]
+    rows = np.arange(len(ids))[:, None]
+    return ids[rows, order], distances[rows, order]
 
 
 def squared_distances(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
@@ -188,10 +282,7 @@ def topk_tie_stable(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarr
         order = np.argsort(distances, axis=1, kind="stable")
         return order, distances[rows, order]
     part = np.argpartition(distances, k - 1, axis=1)[:, :k]
-    vals = distances[rows, part]
-    order = np.lexsort((part, vals), axis=-1)
-    part = part[rows, order]
-    vals = vals[rows, order]
+    part, vals = merge_by_distance(distances[rows, part], part, k)
     # argpartition picks an *arbitrary* subset of entries tied with the k-th
     # value; rows where that tie extends past the selection need the stable
     # choice (lowest indices) restored.

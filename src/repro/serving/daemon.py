@@ -357,8 +357,9 @@ class ServingDaemon:
         serve --ivf-cells``, ``engine_kwargs={"ivf": ...}``, or a
         MutableIndex built with them) and is forwarded to the scan;
         requests with different search configurations never share a scan
-        batch or a cache entry. ``engine`` hints are rejected: the daemon
-        owns its engines.
+        batch or a cache entry. Non-finite queries raise ``ValueError``
+        before admission, so they cost no retries and never trip a
+        replica's circuit breaker.
 
         ``encoder`` requests carry *raw features*: the named query encoder
         (constructor ``query_encoders``) embeds them before the scan, the
@@ -389,11 +390,6 @@ class ServingDaemon:
                     "no IVF layer; serve with --ivf-cells / "
                     "engine_kwargs={'ivf': ...} to accept per-request nprobe"
                 )
-            if request_obj.engine is not None:
-                raise ValueError(
-                    "the daemon owns its engines; requests cannot carry an "
-                    "engine hint"
-                )
             encoder_mode = request_obj.encoder
             if (
                 encoder_mode is not None
@@ -418,6 +414,8 @@ class ServingDaemon:
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1:
             raise ValueError("query must be a 1-D vector")
+        if not np.isfinite(query).all():
+            raise ValueError("query must be finite (NaN/inf rejected)")
         if encoder_mode is None and query.shape[0] != self.dim:
             raise ValueError(f"query must be a ({self.dim},) vector")
         loop = asyncio.get_running_loop()

@@ -8,12 +8,11 @@ from repro.retrieval.engine import (
     QueryEngine,
     ShardedIndex,
     compact_code_dtype,
-    merge_topk,
     shard_bounds,
     topk_tie_stable,
 )
 from repro.retrieval.index import QuantizedIndex
-from repro.retrieval.search import rank_by_distance
+from repro.retrieval.search import merge_by_distance, rank_by_distance
 
 
 def make_index(seed=0, n_db=120, m=3, k_words=16, dim=6):
@@ -94,12 +93,14 @@ class TestMergeTopk:
         i1 = np.array([[5, 0]])
         d2 = np.array([[1.0, 1.0, 2.0]])
         i2 = np.array([[2, 9, 7]])
-        idx, vals = merge_topk([d1, d2], [i1, i2], 4)
+        idx, vals = merge_by_distance(
+            np.concatenate([d1, d2], axis=1), np.concatenate([i1, i2], axis=1), 4
+        )
         assert idx.tolist() == [[2, 5, 9, 7]]
         assert vals.tolist() == [[1.0, 1.0, 1.0, 2.0]]
 
     def test_k_wider_than_candidates(self):
-        idx, vals = merge_topk([np.array([[1.0]])], [np.array([[4]])], 10)
+        idx, vals = merge_by_distance(np.array([[1.0]]), np.array([[4]]), 10)
         assert idx.tolist() == [[4]]
 
 
@@ -218,7 +219,7 @@ class TestIndexDelegation:
         index, queries = make_index()
         want = index.search(queries, k=10)
         with QueryEngine(index, num_shards=3) as engine:
-            assert np.array_equal(index.search(queries, k=10, engine=engine), want)
+            assert np.array_equal(engine.search(queries, k=10), want)
 
     def test_search_labels_through_engine(self):
         rng = np.random.default_rng(5)
@@ -226,16 +227,9 @@ class TestIndexDelegation:
         index.labels = rng.integers(0, 4, size=len(index))
         with QueryEngine(index, num_shards=2) as engine:
             assert np.array_equal(
-                index.search_labels(queries, k=5, engine=engine),
+                index.labels[engine.search(queries, k=5)],
                 index.search_labels(queries, k=5),
             )
-
-    def test_geometry_mismatch_raises(self):
-        index, queries = make_index()
-        other, _ = make_index(seed=1, n_db=60)
-        with QueryEngine(other) as engine:
-            with pytest.raises(ValueError, match="geometry"):
-                index.search(queries, k=5, engine=engine)
 
 
 def _hang_scan_shard(args):
@@ -337,4 +331,6 @@ class TestRerankOverride:
         index, queries = make_index(seed=6)
         with QueryEngine(index, rerank=True) as engine:
             base = engine.search(queries, k=10)
-            assert np.array_equal(engine.search(queries, k=10, rerank=None), base)
+            assert np.array_equal(
+                engine.search_with_distances(queries, k=10, rerank=None)[0], base
+            )

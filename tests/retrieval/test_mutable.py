@@ -212,12 +212,6 @@ class TestValidation:
             index.serve(SearchRequest(queries=queries, k=5, nprobe=4))
         index.close()
 
-    def test_engine_hint_rejected(self):
-        index, _, queries, _ = make_mutable()
-        with pytest.raises(ValueError, match="engine"):
-            index.serve(SearchRequest(queries=queries, k=5, engine=object()))
-        index.close()
-
 
 class TestParityInterleavings:
     """Satellite 4: seeded random interleavings against the rebuild oracle."""

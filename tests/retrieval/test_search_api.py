@@ -1,10 +1,10 @@
-"""Tests for the unified SearchRequest/SearchResult API.
+"""Tests for the one search contract: SearchRequest/SearchResult and the
+SearchSurface base every index surface inherits ``search``/``serve`` from.
 
-Covers the request dataclass's validation, the routing of every search
-surface through ``serve``, the deprecation shims that keep legacy kwarg
-call sites working (asserting the warning actually fires — the
-acceptance criterion for the API redesign), and the loud ``ValueError``
-for ``nprobe`` without an IVF layer (previously a silent no-op).
+Covers the request dataclass's validation (non-finite queries included),
+one contract test run over all four surfaces against the exhaustive
+float64 oracle, each surface's ``source`` label, and the loud
+``ValueError`` for ``nprobe`` without an IVF layer.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import pytest
 
 from repro.retrieval import (
     IVFIndex,
+    MutableIndex,
     QuantizedIndex,
     SearchRequest,
     SearchResult,
 )
+from repro.retrieval.adc import adc_distances
 from repro.retrieval.engine import QueryEngine
 
 
@@ -45,6 +47,13 @@ class TestSearchRequest:
         with pytest.raises(ValueError, match="deadline_s"):
             SearchRequest(queries=np.zeros(3), deadline_s=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_queries(self, bad):
+        queries = np.zeros((2, 5))
+        queries[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SearchRequest(queries=queries, k=3)
+
     def test_result_width(self):
         result = SearchResult(
             indices=np.zeros((2, 4), dtype=np.int64),
@@ -57,65 +66,36 @@ class TestSearchRequest:
 class TestIndexSurface:
     def test_request_matches_legacy_array_path(self, corpus):
         index, queries = corpus
-        legacy = index.search(queries, k=10)
-        result = index.search(SearchRequest(queries=queries, k=10))
+        result = index.serve(SearchRequest(queries=queries, k=10))
         assert isinstance(result, SearchResult)
         assert result.source == "serial-adc"
-        assert np.array_equal(result.indices, legacy)
-        assert result.distances.shape == legacy.shape
+        assert np.array_equal(result.indices, index.search(queries, k=10))
 
     def test_kwargs_alongside_request_rejected(self, corpus):
         index, queries = corpus
         with pytest.raises(TypeError, match="SearchRequest"):
             index.search(SearchRequest(queries=queries, k=5), k=5)
 
-    def test_engine_kwarg_warns_but_works(self, corpus):
-        index, queries = corpus
-        with QueryEngine(index, parallel="never") as engine:
-            with pytest.warns(DeprecationWarning, match="QuantizedIndex.search"):
-                ranked = index.search(queries, k=10, engine=engine)
-        assert np.array_equal(ranked, index.search(queries, k=10))
-
-    def test_engine_hint_in_request_does_not_warn(self, corpus):
-        import warnings
-
-        index, queries = corpus
-        with QueryEngine(index, parallel="never") as engine:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                result = index.search(
-                    SearchRequest(queries=queries, k=10, engine=engine)
-                )
-        assert np.array_equal(result.indices, index.search(queries, k=10))
-
     def test_nprobe_without_ivf_raises(self, corpus):
         """The old silent no-op is now a loud error, on every form."""
         index, queries = corpus
         with pytest.raises(ValueError, match="nprobe"):
-            index.search(SearchRequest(queries=queries, k=5, nprobe=4))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="nprobe"):
-                index.search(queries, k=5, nprobe=4)
+            index.serve(SearchRequest(queries=queries, k=5, nprobe=4))
+        with pytest.raises(ValueError, match="nprobe"):
+            index.search_with_distances(queries, k=5, nprobe=4)
         with QueryEngine(index, parallel="never") as engine:
             with pytest.raises(ValueError, match="nprobe|ivf"):
-                index.search(
-                    SearchRequest(queries=queries, k=5, nprobe=4, engine=engine)
-                )
+                engine.serve(SearchRequest(queries=queries, k=5, nprobe=4))
 
 
 class TestEngineSurface:
     def test_request_round_trip(self, corpus):
         index, queries = corpus
         with QueryEngine(index, parallel="never") as engine:
-            result = engine.search(SearchRequest(queries=queries, k=10))
+            result = engine.serve(SearchRequest(queries=queries, k=10))
             assert isinstance(result, SearchResult)
+            assert result.source == "in-process"
             assert np.array_equal(result.indices, index.search(queries, k=10))
-
-    def test_legacy_rerank_kwarg_warns(self, corpus):
-        index, queries = corpus
-        with QueryEngine(index, parallel="never") as engine:
-            with pytest.warns(DeprecationWarning, match="QueryEngine.search"):
-                engine.search(queries, k=5, rerank=False)
 
     def test_plain_array_path_stays_silent(self, corpus):
         import warnings
@@ -132,9 +112,8 @@ class TestIVFSurface:
     def test_request_and_legacy_agree(self, corpus):
         index, queries = corpus
         ivf = IVFIndex.build(index, num_cells=6)
-        result = ivf.search(SearchRequest(queries=queries, k=10, nprobe=6))
-        with pytest.warns(DeprecationWarning, match="IVFIndex.search"):
-            legacy = ivf.search(queries, k=10, nprobe=6)
+        result = ivf.serve(SearchRequest(queries=queries, k=10, nprobe=6))
+        legacy = ivf.search_with_distances(queries, k=10, nprobe=6)[0]
         assert np.array_equal(result.indices, legacy)
         assert result.source == "ivf"
 
@@ -163,3 +142,80 @@ class TestEncoderField:
         ivf = IVFIndex.build(index, num_cells=8)
         with pytest.raises(ValueError, match="encoder"):
             ivf.serve(request)
+
+
+def _oracle(index, queries, k, ids=None):
+    """Exhaustive float64 top-k: the serial ADC matrix under a stable sort,
+    optionally mapped to external ``ids``."""
+    distances = adc_distances(
+        queries, index.codes, index.codebooks, db_sq_norms=index.db_sq_norms
+    )
+    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(queries))[:, None]
+    found = order if ids is None else ids[order]
+    return found, distances[rows, order]
+
+
+def _mutable_after_churn(index):
+    """A MutableIndex after interleaved adds and removes, plus its oracle
+    inputs (the rebuilt index and its external ids)."""
+    rng = np.random.default_rng(3)
+    mutable = MutableIndex.from_index(index)
+    mutable.add(rng.normal(size=(30, index.dim)))
+    mutable.remove(np.arange(0, 40, 3))
+    mutable.add(rng.normal(size=(12, index.dim)))
+    mutable.remove(np.arange(150, 170, 2))
+    rebuilt, ids = mutable.rebuild()
+    return mutable, rebuilt, ids
+
+
+SURFACES = ("QuantizedIndex", "QueryEngine", "IVFIndex", "MutableIndex")
+
+
+@pytest.fixture(params=SURFACES)
+def surface(request, corpus):
+    """``(surface, oracle(queries, k))`` for each search surface."""
+    index, _ = corpus
+    name = request.param
+    if name == "MutableIndex":
+        mutable, rebuilt, ids = _mutable_after_churn(index)
+        yield mutable, lambda q, k: _oracle(rebuilt, q, k, ids)
+        mutable.close()
+        return
+    oracle = lambda q, k: _oracle(index, q, k)  # noqa: E731
+    if name == "QuantizedIndex":
+        yield index, oracle
+    elif name == "QueryEngine":
+        # Float32 scan plus float64 rerank, split over shards.
+        with QueryEngine(index, num_shards=3, parallel="never") as engine:
+            yield engine, oracle
+    else:
+        # Full probe: every cell is scanned by default.
+        yield IVFIndex.build(index, num_cells=6, nprobe=6), oracle
+
+
+class TestSearchContract:
+    """Every surface honours one contract: ``serve`` and ``search`` are thin
+    fronts over ``search_with_distances``, which matches the exhaustive
+    float64 oracle bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 10, 150])
+    def test_serve_search_and_oracle_agree(self, surface, corpus, k):
+        target, oracle = surface
+        _, queries = corpus
+        ids, distances = target.search_with_distances(queries, k=k)
+        result = target.serve(SearchRequest(queries=queries, k=k))
+        assert np.array_equal(result.indices, ids)
+        assert np.array_equal(result.distances, distances)
+        want_ids, want_distances = oracle(queries, k)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(distances, want_distances)  # bit for bit
+        assert np.array_equal(target.search(queries, k=k), result.indices)
+
+    def test_non_finite_query_rejected(self, surface, corpus):
+        target, _ = surface
+        _, queries = corpus
+        bad = queries.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            target.search_with_distances(bad, k=5)

@@ -98,6 +98,29 @@ class TestHealthyServing:
 
         asyncio.run(run())
 
+    def test_non_finite_queries_rejected_before_admission(self, served_index):
+        """An ``inf`` query is a client error: it costs no retries and
+        never trips a breaker, so the next valid query is served first try."""
+        index, pool = served_index
+
+        async def run():
+            async with ServingDaemon(
+                index, num_replicas=2, config=quiet_config()
+            ) as daemon:
+                bad = pool[0].copy()
+                bad[0] = np.inf
+                for _ in range(6):
+                    with pytest.raises(ValueError, match="finite"):
+                        await daemon.submit(bad, k=5)
+                return daemon, await daemon.submit(pool[1], k=5)
+
+        daemon, result = asyncio.run(run())
+        assert daemon.counts["retries"] == 0
+        assert [
+            daemon.replica_set.breaker_for(i).state for i in range(2)
+        ] == ["closed", "closed"]
+        assert result.attempts == 1
+
     def test_rejects_after_stop(self, served_index):
         index, pool = served_index
 

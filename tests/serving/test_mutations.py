@@ -174,10 +174,6 @@ class TestSearchRequestSubmit:
                     await daemon.submit(
                         SearchRequest(queries=pool[0], k=5, nprobe=4)
                     )
-                with pytest.raises(ValueError, match="engine"):
-                    await daemon.submit(
-                        SearchRequest(queries=pool[0], k=5, engine=object())
-                    )
 
         asyncio.run(run())
 
